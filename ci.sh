@@ -54,8 +54,11 @@ cargo run -q --offline -p ibfs-bench --bin metrics-check -- "$QOS_SNAP"
 # 2-core hosts only), and validates the emitted BENCH_cpu.json schema
 # through the in-tree JSON codec before writing it. The tile/async
 # equivalence walls then pin the tiled and async engines to the pooled
-# engine under -O, and the reorder differential wall pins every engine ×
-# ordering × width combination to the unreordered run bit for bit.
+# engine under -O, the reorder differential wall pins every engine ×
+# ordering × width combination to the unreordered run bit for bit, and
+# the CPU differential wall pins the pooled engine to the frozen baseline
+# and every engine's traversed_edges to the depth-table oracle (release
+# builds skip the engine's own debug assertion of that identity).
 cargo run -q --release --offline -p ibfs-bench --bin bfs -- cpu-bench \
     --scale 9 --edge-factor 8 --seed 42 --sources 32 --threads 2 \
     --engine pooled,tiled,async --reorder hub --repeat 5 --check \
@@ -64,6 +67,7 @@ test -s "$BENCH"
 cargo test -q --release --offline --test tiled_differential
 cargo test -q --release --offline --test async_equivalence
 cargo test -q --release --offline --test reorder_differential
+cargo test -q --release --offline --test cpu_differential
 
 # Sharded-traversal gate: the seeded shard-bench --check fails unless the
 # 4-shard sharded depths are bit-identical to reference_bfs on the

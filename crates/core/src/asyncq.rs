@@ -36,9 +36,10 @@
 //!
 //! Vertex reordering ([`CpuOptions::reorder`]) composes with this engine
 //! for free: [`crate::cpu::CpuService::run_group`] hands `run_async` the
-//! relabeled CSR and pre-mapped sources and maps the depth table back out
-//! afterward, so nothing here knows whether the space is permuted —
-//! `tests/reorder_differential.rs` pins the async rows of that wall.
+//! relabeled CSR, pre-mapped sources and the old → new vertex map, which
+//! only the final depth collection reads, so the traversal never knows
+//! whether the space is permuted — `tests/reorder_differential.rs` pins
+//! the async rows of that wall.
 
 use crate::cpu::{CpuOptions, CpuRun, CpuStats};
 use crate::pool::WorkerPool;
@@ -73,7 +74,10 @@ struct Fifo {
 
 /// Runs one group through the asynchronous engine. Width plays no role
 /// here (depths are per-instance bytes, not shared status words); the
-/// group size limit is enforced by the caller's admission.
+/// group size limit is enforced by the caller's admission. With `perm`
+/// (old → new ids of a reordered service) the returned depth table is
+/// mapped back to original vertex ids.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_async(
     csr: &Csr,
     opts: &CpuOptions,
@@ -82,6 +86,7 @@ pub(crate) fn run_async(
     stats: &mut CpuStats,
     prof: Option<&EngineProfiler>,
     sources: &[VertexId],
+    perm: Option<&[VertexId]>,
 ) -> CpuRun {
     let ni = sources.len();
     let n = csr.num_vertices();
@@ -191,13 +196,22 @@ pub(crate) fn run_async(
     stats.async_items += fifo.items.load(Ordering::Relaxed);
     stats.async_relaxed += fifo.relaxed.load(Ordering::Relaxed);
 
-    let depths: Vec<u8> = depths.iter().map(|c| c.load()).collect();
     debug_assert!(sources
         .iter()
         .enumerate()
-        .all(|(j, &s)| depths[j * n + s as usize] == 0));
+        .all(|(j, &s)| depths[j * n + s as usize].load() == 0));
     let _ = DEPTH_UNVISITED; // sentinel identity: AtomicDepth::unvisited() == DEPTH_UNVISITED
-    let traversed = crate::engine::traversed_edges_for(csr, &depths, ni);
+    // Out-degrees are permutation-invariant, so counting in permuted space
+    // gives the original-space total.
+    let cells: Vec<u8> = depths.iter().map(|c| c.load()).collect();
+    let traversed = crate::engine::traversed_edges_for(csr, &cells, ni);
+    let depths = match perm {
+        None => cells,
+        Some(p) => cells
+            .chunks(n)
+            .flat_map(|row| p.iter().map(move |&new| row[new as usize]))
+            .collect(),
+    };
     CpuRun {
         num_instances: ni,
         num_vertices: n,

@@ -21,25 +21,33 @@
 //!
 //! * **Persistent pool** — one [`WorkerPool`] spawned at service
 //!   construction; every phase of every level of every group runs on it
-//!   (see `tests`: the process thread count is constant across a
+//!   (see `tests`: the pool's spawn count is constant across a
 //!   multi-level, multi-group run).
 //! * **Resident arena** — the `cur`/`next` status arrays, touched-chunk
-//!   epochs, and per-lane queue segments are allocated once and reused
-//!   across groups; only the returned depth table is allocated per group
-//!   (it is the result, not scratch).
+//!   epochs, per-lane queue segments and a vertex-major depth table are
+//!   allocated once and reused across groups; only the returned depth
+//!   table is allocated per group (it is the result, not scratch).
 //! * **Wide words** — the engine is generic over [`StatusWord`] width
 //!   through the [`AtomicStatus`] lanes in [`crate::word`]; with
 //!   [`WordWidth::W256`] a 128-source set runs as one group instead of two.
-//!   Depths are written directly in `[instance][vertex]` layout, deleting
-//!   the old final transpose.
+//! * **Vertex-major depths** — identification records depths in a
+//!   resident `[vertex][instance]` table, so every newly set bit of a
+//!   vertex lands in the same cache line (the paper's JSA layout: one
+//!   vertex's status for all instances is contiguous). One pool-parallel,
+//!   blocked finalize pass ([`ProfPhase::MapOut`]) transposes it into the
+//!   returned `[instance][vertex]` table, mapping vertices back to their
+//!   original ids when the service is reordered, and resets each row as it
+//!   reads it, so the resident table is clean for the next group without a
+//!   separate clear. `traversed_edges` is the sum identification already
+//!   keeps, not a recount over the depth table.
 //! * **Dirty chunks** — vertices are grouped into [`CHUNK`]-sized chunks; a
 //!   per-chunk epoch records the last level that wrote new bits into it.
-//!   The per-level `next <- cur` copy and the identification sweep visit
-//!   only touched chunks, so sparse levels cost O(frontier), not O(n).
-//!   Invariant: at the start of every level's traversal, `next[v] == cur[v]`
-//!   for all `v`; traversal adds bits to `next` only inside chunks it marks
-//!   touched, so repairing last level's touched chunks restores the
-//!   invariant after the buffer swap.
+//!   The identification sweep visits only touched chunks, so sparse levels
+//!   cost O(frontier), not O(n). Invariant: at the start of every level's
+//!   traversal, `next[v] == cur[v]` for all `v`. Traversal adds bits to
+//!   `next` only inside chunks it marks touched, and the identifying lane,
+//!   which owns `v`, stores `cur[v] = next[v]` whenever `v` gained bits, so
+//!   the invariant holds again when identification ends.
 //! * **Work stealing** — top-down and bottom-up frontiers are pre-split
 //!   into degree-balanced chunks (weight = degree + 1) and claimed through
 //!   a shared atomic cursor, so a lane that lands on a power-law hub simply
@@ -54,10 +62,11 @@
 //!   expanded into [`crate::tile::EdgeTile`]s under the service's
 //!   [`TilePlan`] before the degree-balanced split, so a hub's edge list
 //!   spreads across every lane instead of pinning one. The relaxation is
-//!   a commutative monotone OR, so tiling cannot change any depth or the
-//!   depth-derived `traversed_edges` — bit-identity to Pooled is pinned by
-//!   `tests/tiled_differential.rs`. Bottom-up is untouched (its
-//!   single-writer-per-word invariant would not survive splitting).
+//!   a commutative monotone OR, so tiling cannot change any depth or
+//!   `traversed_edges` (the sum of out-degrees over visited cells) —
+//!   bit-identity to Pooled is pinned by `tests/tiled_differential.rs`.
+//!   Bottom-up is untouched (its single-writer-per-word invariant would
+//!   not survive splitting).
 //! * [`CpuEngine::Async`] — no level loop at all; see [`crate::asyncq`].
 //!
 //! The tile size and the steal-chunk count are autotuned from the degree
@@ -342,11 +351,9 @@ pub struct CpuStats {
     pub groups: u64,
     /// BFS levels executed.
     pub levels: u64,
-    /// Chunks marked dirty by traversal (identification/copy work visits
-    /// exactly these).
+    /// Chunks marked dirty by traversal (identification visits exactly
+    /// these).
     pub chunks_touched: u64,
-    /// Chunks copied by the `next <- cur` repair phase.
-    pub chunks_repaired: u64,
     /// Full O(n) sweeps (MS-BFS visit-map maintenance and top-down →
     /// bottom-up switches).
     pub full_sweeps: u64,
@@ -440,8 +447,6 @@ struct Scratch {
     touched_epoch: Vec<AtomicU64>,
     /// This level's dirty chunks, ascending.
     touched: Vec<u32>,
-    /// Chunks where `next != cur` (last level's dirty set), to repair.
-    stale: Vec<u32>,
     /// Chunks dirtied at any point of the current group (for cleanup).
     ever: Vec<bool>,
     ever_list: Vec<u32>,
@@ -459,6 +464,11 @@ struct Scratch {
     /// high-occupancy queues to ascending order (see
     /// [`DENSE_FRONTIER_DIV`]). Allocated lazily on the first dense level.
     bitmap: Vec<u64>,
+    /// Vertex-major depth table: cell `v * ni + j` is instance `j`'s depth
+    /// of vertex `v`. All [`DEPTH_UNVISITED`] between groups (the finalize
+    /// pass resets what it reads). Grown lazily by the first group that
+    /// needs more cells, so service construction does not pay for it.
+    vm: Vec<Depth>,
 }
 
 impl Scratch {
@@ -468,7 +478,6 @@ impl Scratch {
             lanes: (0..threads).map(|_| Mutex::new(LaneScratch::default())).collect(),
             touched_epoch: (0..num_chunks).map(|_| AtomicU64::new(0)).collect(),
             touched: Vec::new(),
-            stale: Vec::new(),
             ever: vec![false; num_chunks],
             ever_list: Vec::new(),
             queue: Vec::new(),
@@ -478,28 +487,47 @@ impl Scratch {
             cursor: ChunkCursor::default(),
             tally: ClaimTally::new(threads),
             bitmap: Vec::new(),
+            vm: Vec::new(),
         }
     }
 }
 
-/// Shared mutable depth table written by identification lanes.
+/// A depth table shared by the lanes of one phase.
 ///
-/// Lanes write disjoint `(instance, vertex)` cells: every touched chunk is
-/// claimed by exactly one lane, and a vertex belongs to exactly one chunk.
+/// Lanes touch disjoint cells: every chunk is claimed by exactly one lane,
+/// a vertex belongs to exactly one chunk, and a lane only touches the
+/// cells of vertices in its chunks (for the reorder map, of their images
+/// under the permutation, which is a bijection).
 #[derive(Clone, Copy)]
 struct DepthTable(*mut Depth);
 
-// SAFETY: see the type docs — writers are disjoint by chunk ownership, and
-// the table is only read after the phase barrier.
+// SAFETY: see the type docs — cells are disjoint by chunk ownership, and
+// a cell written in one phase is only read after the phase barrier.
 unsafe impl Send for DepthTable {}
 unsafe impl Sync for DepthTable {}
 
 impl DepthTable {
     /// # Safety
-    /// `idx` must be in bounds and written by at most one lane per phase.
+    /// `idx` must be in bounds and touched by at most one lane per phase.
     #[inline]
     unsafe fn set(&self, idx: usize, d: Depth) {
         unsafe { *self.0.add(idx) = d };
+    }
+
+    /// # Safety
+    /// As [`DepthTable::set`].
+    #[inline]
+    unsafe fn get(&self, idx: usize) -> Depth {
+        unsafe { *self.0.add(idx) }
+    }
+
+    /// Sets cells `idx..idx + len` to [`DEPTH_UNVISITED`].
+    ///
+    /// # Safety
+    /// As [`DepthTable::set`], for every cell of the range.
+    #[inline]
+    unsafe fn clear(&self, idx: usize, len: usize) {
+        unsafe { std::ptr::write_bytes(self.0.add(idx), DEPTH_UNVISITED, len) };
     }
 }
 
@@ -672,7 +700,6 @@ impl<'g> CpuService<'g> {
         registry.counter("ibfs_cpu_groups_total").add(s.stats.groups);
         registry.counter("ibfs_cpu_levels_total").add(s.stats.levels);
         registry.counter("ibfs_cpu_chunks_touched_total").add(s.stats.chunks_touched);
-        registry.counter("ibfs_cpu_chunks_repaired_total").add(s.stats.chunks_repaired);
         registry.counter("ibfs_cpu_full_sweeps_total").add(s.stats.full_sweeps);
         registry.counter("ibfs_cpu_steal_chunks_total").add(s.stats.td_chunks + s.stats.bu_chunks);
         registry.counter("ibfs_cpu_pool_phases_total").add(s.pool_phases);
@@ -731,8 +758,8 @@ impl<'g> CpuService<'g> {
             opts.policy = t.policy();
         }
         let prof = self.profiler.as_deref();
-        // One timeline track for the reorder map phases of this group (the
-        // engine run opens its own).
+        // One timeline track for this group's source map-in (the engine run
+        // opens its own, which carries the depth map-out).
         let map_track = match (&self.reordered, prof) {
             (Some(_), Some(p)) => p.open_track(),
             _ => 0,
@@ -762,14 +789,16 @@ impl<'g> CpuService<'g> {
         let pool = &self.pool;
         let stats = &mut self.stats;
         let tuner_before = (stats.td_micros, stats.td_chunks, stats.bu_micros, stats.bu_chunks);
-        let mut run = if opts.engine == CpuEngine::Async {
+        // Both engines write their result table in original vertex ids.
+        let perm = self.reordered.as_ref().map(|r| r.perm.perm());
+        let run = if opts.engine == CpuEngine::Async {
             // The async engine owns its depth words; the arena and the
             // level-loop scratch never come into play.
-            crate::asyncq::run_async(csr, &opts, pool, &self.plan, stats, prof, run_sources)
+            crate::asyncq::run_async(csr, &opts, pool, &self.plan, stats, prof, run_sources, perm)
         } else {
             let scratch = &mut self.scratch;
             let epoch = &mut self.epoch;
-            let cx = RunCx { plan: &self.plan, chunks_per_lane: self.chunks_per_lane, prof };
+            let cx = RunCx { plan: &self.plan, chunks_per_lane: self.chunks_per_lane, prof, perm };
             match &self.arena {
                 ArenaAny::W32(a) => run_width(csr, rev, opts, pool, a, scratch, stats, epoch, cx, run_sources),
                 ArenaAny::W64(a) => run_width(csr, rev, opts, pool, a, scratch, stats, epoch, cx, run_sources),
@@ -777,9 +806,11 @@ impl<'g> CpuService<'g> {
                 ArenaAny::W256(a) => run_width(csr, rev, opts, pool, a, scratch, stats, epoch, cx, run_sources),
             }
         };
-        if let Some(r) = &self.reordered {
-            map_depths_out(&mut run, &r.perm, pool, &self.scratch.cursor, prof, map_track);
-        }
+        debug_assert_eq!(
+            run.traversed_edges,
+            crate::engine::traversed_edges_for(self.csr, &run.depths, run.num_instances),
+            "traversed_edges disagrees with the depth table"
+        );
         if let Some(t) = &mut self.tuner {
             let (td0, tdc0, bu0, buc0) = tuner_before;
             let s = &mut self.stats;
@@ -819,44 +850,6 @@ fn milli(x: f64) -> u64 {
     if x.is_finite() { (x * 1000.0).round() as u64 } else { u64::MAX }
 }
 
-/// Rewrites a reordered run's depth table back to original vertex ids:
-/// `out[j][old] = depths[j][perm[old]]`, parallelized over vertex chunks on
-/// the pool. `traversed_edges` needs no rework — it is derived from depths
-/// and out-degrees, both permutation-invariant.
-fn map_depths_out(
-    run: &mut CpuRun,
-    perm: &VertexPerm,
-    pool: &WorkerPool,
-    cursor: &ChunkCursor,
-    prof: Option<&EngineProfiler>,
-    track: u64,
-) {
-    let n = run.num_vertices;
-    let ni = run.num_instances;
-    let src = std::mem::take(&mut run.depths);
-    let mut out = vec![DEPTH_UNVISITED; ni * n];
-    let chunks = n.div_ceil(CHUNK);
-    let table = DepthTable(out.as_mut_ptr());
-    let forward = perm.perm();
-    cursor.reset();
-    pool.run_profiled(prof, track, 0, ProfPhase::MapOut, |_lane| {
-        let mut cells = 0u64;
-        while let Some(c) = cursor.claim(chunks) {
-            for old in chunk_range(c, n) {
-                let new = forward[old] as usize;
-                for j in 0..ni {
-                    // SAFETY: chunks of `old` are claimed exclusively, so
-                    // every (j, old) cell has a single writer.
-                    unsafe { table.set(j * n + old, src[j * n + new]) };
-                }
-                cells += ni as u64;
-            }
-        }
-        (cells, ni as u64)
-    });
-    run.depths = out;
-}
-
 /// Autotuned per-service parameters threaded into the level loop.
 #[derive(Clone, Copy)]
 struct RunCx<'p> {
@@ -864,10 +857,14 @@ struct RunCx<'p> {
     chunks_per_lane: usize,
     /// Optional phase profiler (None costs one branch per phase).
     prof: Option<&'p EngineProfiler>,
+    /// Old → new vertex map of a reordered service, applied by the
+    /// finalize pass so results leave in original vertex ids.
+    perm: Option<&'p [VertexId]>,
 }
 
 /// The width-generic pooled level loop. See the module docs for the
-/// dirty-chunk invariant this maintains.
+/// dirty-chunk invariant this maintains and the vertex-major depth table
+/// it records into.
 #[allow(clippy::too_many_arguments)]
 fn run_width<A: AtomicStatus>(
     csr: &Csr,
@@ -894,12 +891,16 @@ fn run_width<A: AtomicStatus>(
     // One timeline track (Chrome `pid`) per group run.
     let track = cx.prof.map(|p| p.open_track()).unwrap_or(0);
     let mut level_seconds: Vec<f64> = Vec::new();
-    // The output table, `[instance][vertex]`: the one per-group allocation.
-    let mut depths = vec![DEPTH_UNVISITED; ni * n];
+    let (cur, next): (&[A], &[A]) = (&arena.cur, &arena.next);
+    // The resident vertex-major table grows to the widest group served so
+    // far; every cell past what earlier groups used is still unvisited.
+    if scratch.vm.len() < n * ni {
+        scratch.vm.resize(n * ni, DEPTH_UNVISITED);
+    }
 
     for (j, &s) in sources.iter().enumerate() {
-        arena.cur[s as usize].fetch_or(A::Word::bit(j as u32));
-        depths[j * n + s as usize] = 0;
+        cur[s as usize].fetch_or(A::Word::bit(j as u32));
+        scratch.vm[s as usize * ni + j] = 0;
     }
     scratch.queue.clear();
     scratch.queue.extend_from_slice(sources);
@@ -907,20 +908,19 @@ fn run_width<A: AtomicStatus>(
     scratch.queue.dedup();
     for &s in &scratch.queue {
         let v = s as usize;
-        arena.next[v].store(arena.cur[v].load());
+        next[v].store(cur[v].load());
         let c = v >> CHUNK_BITS;
         if !scratch.ever[c] {
             scratch.ever[c] = true;
             scratch.ever_list.push(c as u32);
         }
     }
-    scratch.stale.clear();
 
     let mut direction = Direction::TopDown;
     let mut frontier_edges: u64 = sources.iter().map(|&s| csr.out_degree(s) as u64).sum();
+    // Out-degrees of every (instance, vertex) pair visited so far: the
+    // run's `traversed_edges`, since each pair is identified exactly once.
     let mut visited_edges = frontier_edges;
-    // Buffer roles swap by parity instead of swapping the vectors.
-    let mut flipped = false;
 
     let level_cap = if opts.max_levels == 0 {
         crate::sequential::MAX_LEVELS
@@ -960,29 +960,7 @@ fn run_width<A: AtomicStatus>(
         let depth = level as Depth;
         *epoch += 1;
         let tag = *epoch;
-        let (cur, next): (&[A], &[A]) = if flipped {
-            (&arena.next, &arena.cur)
-        } else {
-            (&arena.cur, &arena.next)
-        };
 
-        // Repair: copy cur -> next on last level's dirty chunks only,
-        // restoring the `next == cur` invariant after the swap.
-        if !scratch.stale.is_empty() {
-            scratch.cursor.reset();
-            let (stale, cursor) = (&scratch.stale, &scratch.cursor);
-            pool.run_profiled(cx.prof, track, level as u64, ProfPhase::Repair, |_lane| {
-                let mut claimed = 0u64;
-                while let Some(i) = cursor.claim(stale.len()) {
-                    claimed += 1;
-                    for v in chunk_range(stale[i] as usize, n) {
-                        next[v].store(cur[v].load());
-                    }
-                }
-                (claimed, claimed + 1)
-            });
-            stats.chunks_repaired += scratch.stale.len() as u64;
-        }
         if opts.per_level_reset {
             // MS-BFS maintains an extra visit map each level: model the
             // cost with one more full sweep over the words, on the pool
@@ -1170,12 +1148,12 @@ fn run_width<A: AtomicStatus>(
         stats.chunks_touched += scratch.touched.len() as u64;
 
         // Identification: diff words, record depths, build the top-down
-        // frontier — touched chunks only.
+        // frontier, and catch `cur` up with `next` — touched chunks only.
         scratch.cursor.reset();
         {
             let (touched_list, cursor, lanes) =
                 (&scratch.touched, &scratch.cursor, &scratch.lanes);
-            let table = DepthTable(depths.as_mut_ptr());
+            let vm = DepthTable(scratch.vm.as_mut_ptr());
             pool.run_profiled(cx.prof, track, level as u64, ProfPhase::Identify, |lane| {
                 let mut claimed = 0u64;
                 let mut st = lanes[lane].lock().unwrap();
@@ -1186,11 +1164,14 @@ fn run_width<A: AtomicStatus>(
                         let new = next[v].load();
                         let diff = new.and(old.not());
                         if !diff.is_zero() {
+                            // This lane owns `v`, and no lane reads `cur`
+                            // again before the next level's traversal.
+                            cur[v].store(new);
                             for j in diff.iter_ones() {
                                 // SAFETY: this lane claimed chunk
-                                // `touched_list[i]` exclusively, so cell
-                                // (j, v) has a single writer.
-                                unsafe { table.set(j as usize * n + v, depth) };
+                                // `touched_list[i]` exclusively, so the
+                                // row of `v` has a single writer.
+                                unsafe { vm.set(v * ni + j as usize, depth) };
                             }
                             let marked = diff.count_ones() as u64;
                             st.new_marked += marked;
@@ -1290,29 +1271,27 @@ fn run_width<A: AtomicStatus>(
         }
         direction = next_direction;
         std::mem::swap(&mut scratch.queue, &mut scratch.next_queue);
-        // Last level's dirty chunks become the stale set to repair.
-        std::mem::swap(&mut scratch.stale, &mut scratch.touched);
-        flipped = !flipped;
         level_seconds.push(level_start.elapsed().as_secs_f64());
         if new_marked == 0 {
             break;
         }
     }
 
+    let end_level = level_seconds.len() as u64;
+    let depths = finalize_depths(pool, scratch, cx, track, end_level, n, ni);
+
     // Cleanup: zero exactly the chunks this group dirtied, leaving the
     // arena all-zero for the next group without an O(n) clear.
     scratch.cursor.reset();
     {
         let (ever_list, cursor) = (&scratch.ever_list, &scratch.cursor);
-        let (a, b) = (&arena.cur[..], &arena.next[..]);
-        let end_level = level_seconds.len() as u64;
         pool.run_profiled(cx.prof, track, end_level, ProfPhase::Cleanup, |_lane| {
             let mut claimed = 0u64;
             while let Some(i) = cursor.claim(ever_list.len()) {
                 claimed += 1;
                 for v in chunk_range(ever_list[i] as usize, n) {
-                    a[v].store(A::Word::zero());
-                    b[v].store(A::Word::zero());
+                    cur[v].store(A::Word::zero());
+                    next[v].store(A::Word::zero());
                 }
             }
             (claimed, claimed + 1)
@@ -1322,22 +1301,78 @@ fn run_width<A: AtomicStatus>(
         scratch.ever[c as usize] = false;
     }
     scratch.ever_list.clear();
-    scratch.stale.clear();
     scratch.touched.clear();
     scratch.queue.clear();
 
     stats.levels += level_seconds.len() as u64;
     stats.groups += 1;
 
-    let traversed = crate::engine::traversed_edges_for(csr, &depths, ni);
     CpuRun {
         num_instances: ni,
         num_vertices: n,
         depths,
         wall_seconds: start.elapsed().as_secs_f64(),
-        traversed_edges: traversed,
+        traversed_edges: visited_edges,
         level_seconds,
     }
+}
+
+/// Vertices per transpose block of [`finalize_depths`]: a block reads
+/// `FINALIZE_BLOCK` rows of the vertex-major table (4 KiB at 64 instances,
+/// L1-resident) and writes `FINALIZE_BLOCK` contiguous cells of each
+/// instance's output row.
+const FINALIZE_BLOCK: usize = 64;
+
+/// The finalize pass: transposes the vertex-major table into the returned
+/// `[instance][vertex]` table, `out[j * n + old] = vm[perm[old] * ni + j]`
+/// (`perm` the identity when the service is not reordered), and resets
+/// every row it reads, leaving the resident table all-unvisited for the
+/// next group. Chunk-claimed on the pool, blocked by [`FINALIZE_BLOCK`].
+fn finalize_depths(
+    pool: &WorkerPool,
+    scratch: &mut Scratch,
+    cx: RunCx<'_>,
+    track: u64,
+    level: u64,
+    n: usize,
+    ni: usize,
+) -> Vec<Depth> {
+    // A zeroed allocation costs no memset; the pass writes every cell.
+    let mut depths: Vec<Depth> = vec![0; ni * n];
+    let out = DepthTable(depths.as_mut_ptr());
+    let vm = DepthTable(scratch.vm.as_mut_ptr());
+    let chunks = n.div_ceil(CHUNK);
+    let perm = cx.perm;
+    scratch.cursor.reset();
+    let cursor = &scratch.cursor;
+    pool.run_profiled(cx.prof, track, level, ProfPhase::MapOut, |_lane| {
+        let mut cells = 0u64;
+        let mut rows = [0usize; FINALIZE_BLOCK];
+        while let Some(c) = cursor.claim(chunks) {
+            let range = chunk_range(c, n);
+            for lo in range.clone().step_by(FINALIZE_BLOCK) {
+                let hi = (lo + FINALIZE_BLOCK).min(range.end);
+                let rows = &mut rows[..hi - lo];
+                for (row, old) in rows.iter_mut().zip(lo..hi) {
+                    *row = perm.map_or(old, |p| p[old] as usize) * ni;
+                }
+                // SAFETY: this lane claimed chunk `c` exclusively, so it is
+                // the only one touching output cells (j, lo..hi) and, perm
+                // being a bijection, the vertex-major rows they map from.
+                for j in 0..ni {
+                    for (k, &row) in rows.iter().enumerate() {
+                        unsafe { out.set(j * n + lo + k, vm.get(row + j)) };
+                    }
+                }
+                for &row in rows.iter() {
+                    unsafe { vm.clear(row, ni) };
+                }
+            }
+            cells += (range.len() * ni) as u64;
+        }
+        (cells, ni as u64)
+    });
+    depths
 }
 
 /// Runs a whole source set on the CPU in groups of `group_size`, returning
@@ -1526,14 +1561,14 @@ mod tests {
         let r = g.reverse();
         let mut svc = CpuIbfs { threads: 3, ..Default::default() }.service(&g, &r);
         assert_eq!(svc.pool().spawned_threads(), 2);
-        let after_construction = crate::pool::total_threads_spawned();
+        assert_eq!(svc.pool().threads_spawned(), 2);
         let sources: Vec<VertexId> = (0..60).collect();
         for group in sources.chunks(20) {
             let run = svc.run_group(group).unwrap();
             assert!(run.level_seconds.len() > 1, "want a multi-level run");
         }
-        // Three groups, many levels each: no new OS threads anywhere.
-        assert_eq!(crate::pool::total_threads_spawned(), after_construction);
+        // Three groups, many levels each: the pool spawned nothing more.
+        assert_eq!(svc.pool().threads_spawned(), 2);
         assert_eq!(svc.stats().stats.groups, 3);
         assert!(svc.stats().pool_phases > 0);
     }
@@ -1744,19 +1779,50 @@ mod tests {
     }
 
     #[test]
-    fn reordered_profiled_run_records_map_phases() {
+    fn profiled_runs_record_map_phases() {
+        // Every level-synchronous group ends in the MapOut finalize pass;
+        // only a reordered service also maps its sources in.
         let g = rmat(8, 8, RmatParams::graph500(), 9);
         let r = g.reverse();
-        let prof = ibfs_obs::EngineProfiler::shared();
-        let mut svc = CpuIbfs { threads: 2, reorder: ReorderKind::Rcm, ..Default::default() }
-            .service(&g, &r);
-        svc.set_profiler(prof.clone());
-        svc.run_group(&[0, 1, 2, 3]).unwrap();
-        let report = prof.report("cpu-reorder-test");
-        report.validate().expect("profile validates");
-        let phases = report.phases();
-        assert!(phases.contains(&ProfPhase::MapIn), "MapIn missing: {phases:?}");
-        assert!(phases.contains(&ProfPhase::MapOut), "MapOut missing: {phases:?}");
+        for reorder in [ReorderKind::None, ReorderKind::Rcm] {
+            let prof = ibfs_obs::EngineProfiler::shared();
+            let mut svc = CpuIbfs { threads: 2, reorder, ..Default::default() }.service(&g, &r);
+            svc.set_profiler(prof.clone());
+            svc.run_group(&[0, 1, 2, 3]).unwrap();
+            let report = prof.report("cpu-map-test");
+            report.validate().expect("profile validates");
+            let phases = report.phases();
+            assert!(phases.contains(&ProfPhase::MapOut), "{reorder}: MapOut missing: {phases:?}");
+            assert_eq!(
+                phases.contains(&ProfPhase::MapIn),
+                reorder != ReorderKind::None,
+                "{reorder}: {phases:?}"
+            );
+            assert!(!phases.contains(&ProfPhase::Repair), "{reorder}: {phases:?}");
+        }
+    }
+
+    #[test]
+    fn depth_table_is_clean_across_group_widths() {
+        // The resident vertex-major table is reused with a different row
+        // width (instances per group) by every group: a narrow group after
+        // a wide one, and a wider one after that, must each see a clean
+        // table, including under a reordering.
+        let g = rmat(8, 8, RmatParams::graph500(), 13);
+        let r = g.reverse();
+        for reorder in [ReorderKind::None, ReorderKind::DegreeDesc] {
+            let mut svc = CpuIbfs { threads: 2, reorder, ..Default::default() }.service(&g, &r);
+            for sources in [(0..40).collect::<Vec<VertexId>>(), vec![5], (0..64).collect()] {
+                let run = svc.run_group(&sources).unwrap();
+                for (j, &s) in sources.iter().enumerate() {
+                    assert_eq!(run.instance_depths(j), &reference_bfs(&g, s)[..], "{reorder}/{s}");
+                }
+                assert_eq!(
+                    run.traversed_edges,
+                    crate::engine::traversed_edges_for(&g, &run.depths, run.num_instances)
+                );
+            }
+        }
     }
 
     #[test]

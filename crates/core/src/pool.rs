@@ -19,18 +19,6 @@ use ibfs_obs::{EngineProfiler, ProfPhase};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Total OS threads ever spawned by any [`WorkerPool`] in this process.
-///
-/// Tests use this to prove the engines create workers once per engine
-/// lifetime rather than once per level: the counter must not move across a
-/// multi-level, multi-group run.
-static POOL_THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
-
-/// Total OS threads ever spawned by any pool (monotone, process-wide).
-pub fn total_threads_spawned() -> u64 {
-    POOL_THREADS_SPAWNED.load(Ordering::SeqCst)
-}
-
 /// The job pointer lent to workers for the duration of one phase.
 ///
 /// `run` erases the closure's lifetime: the barrier at the end of the phase
@@ -70,6 +58,12 @@ pub struct WorkerPool {
     threads: usize,
     /// Phases dispatched over the pool's lifetime.
     phases: AtomicU64,
+    /// OS threads this pool has ever spawned. Tests use it to prove the
+    /// engines create workers once per engine lifetime rather than once
+    /// per level: it must not move across a multi-level, multi-group run.
+    /// It is per pool, so pools built by concurrently running tests
+    /// cannot disturb the count.
+    spawned: u64,
 }
 
 impl WorkerPool {
@@ -87,10 +81,11 @@ impl WorkerPool {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
         });
+        let mut spawned = 0;
         let mut handles = Vec::with_capacity(threads - 1);
         for lane in 1..threads {
             let shared = Arc::clone(&shared);
-            POOL_THREADS_SPAWNED.fetch_add(1, Ordering::SeqCst);
+            spawned += 1;
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("ibfs-cpu-{lane}"))
@@ -103,6 +98,7 @@ impl WorkerPool {
             handles,
             threads,
             phases: AtomicU64::new(0),
+            spawned,
         }
     }
 
@@ -114,6 +110,11 @@ impl WorkerPool {
     /// OS threads owned by the pool (`threads() - 1`).
     pub fn spawned_threads(&self) -> usize {
         self.handles.len()
+    }
+
+    /// OS threads this pool has spawned over its lifetime (monotone).
+    pub fn threads_spawned(&self) -> u64 {
+        self.spawned
     }
 
     /// Phases dispatched so far.
@@ -295,7 +296,6 @@ mod tests {
 
     #[test]
     fn single_lane_pool_spawns_nothing() {
-        let before = total_threads_spawned();
         let pool = WorkerPool::new(1);
         assert_eq!(pool.spawned_threads(), 0);
         let mut x = 0;
@@ -306,7 +306,7 @@ mod tests {
         });
         drop(cell);
         assert_eq!(x, 1);
-        assert_eq!(total_threads_spawned(), before);
+        assert_eq!(pool.threads_spawned(), 0);
     }
 
     #[test]
@@ -376,10 +376,10 @@ mod tests {
     #[test]
     fn pool_spawn_counter_is_constant_across_phases() {
         let pool = WorkerPool::new(3);
-        let after_new = total_threads_spawned();
+        assert_eq!(pool.threads_spawned(), 2);
         for _ in 0..50 {
             pool.run(|_| {});
         }
-        assert_eq!(total_threads_spawned(), after_new);
+        assert_eq!(pool.threads_spawned(), 2);
     }
 }

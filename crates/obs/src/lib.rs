@@ -24,9 +24,9 @@
 //!   answered it.
 //! * [`profile`] — the engine profiler: an [`EngineProfiler`] collecting
 //!   per-lane, per-level [`PhaseRecord`]s (expand, sweep, barrier wait,
-//!   steal, async drain, repair, sharded exchange) into a versioned
-//!   [`ProfileReport`] that exports to the Chrome trace-event timeline
-//!   format.
+//!   steal, async drain, identify, depth finalize, sharded exchange)
+//!   into a versioned [`ProfileReport`] that exports to the Chrome
+//!   trace-event timeline format.
 //!
 //! Metric names follow the convention `ibfs_<layer>_<name>` (e.g.
 //! `ibfs_serve_latency_seconds`, `ibfs_cluster_routed_total`); per-device

@@ -15,8 +15,8 @@
 //! `cpu-bench` under 5%.
 //!
 //! Phase taxonomy (see [`ProfPhase`]): engine compute phases (top-down
-//! expand, bottom-up sweep, dirty-chunk repair, identification, status
-//! sweeps, cleanup), synchronization ([`ProfPhase::BarrierWait`] records
+//! expand, bottom-up sweep, identification, status sweeps, depth
+//! finalize, cleanup), synchronization ([`ProfPhase::BarrierWait`] records
 //! are *synthesized* — for every lane, phase wall time minus that lane's
 //! body time), work stealing (chunk claims from `ChunkCursor`/`ClaimTally`
 //! as counts on the traversal records), the async engine's FIFO drain, the
@@ -55,8 +55,10 @@ pub enum ProfPhase {
     /// Time a lane spent blocked on the phase barrier (synthesized: phase
     /// wall minus lane body).
     BarrierWait,
-    /// Dirty-chunk repair of stale status words. Counters: chunks
-    /// repaired by this lane, total.
+    /// Dirty-chunk repair of stale status words. The CPU engine no longer
+    /// emits it (identification keeps `cur` equal to `next` itself), so
+    /// its share of a CPU profile reads 0; the variant stays so existing
+    /// reports and consumers keep parsing.
     Repair,
     /// Async-engine FIFO drain. Counters: items drained, relaxed
     /// (re-improved) items.
@@ -83,8 +85,10 @@ pub enum ProfPhase {
     /// Reordered service: mapping a group's sources into permuted space.
     /// Counters: sources mapped, 0.
     MapIn,
-    /// Reordered service: mapping a group's depth table back to original
-    /// vertex ids. Counters: depth cells mapped, instances.
+    /// End-of-group depth finalize: transposing the CPU engine's
+    /// vertex-major depth table into the returned `[instance][vertex]`
+    /// table, mapped back to original vertex ids when the service is
+    /// reordered. Counters: depth cells mapped, instances.
     MapOut,
     /// One α/β autotuner adjustment. Counters: new α in milli-units, new
     /// β in milli-units.

@@ -2,14 +2,16 @@
 //! implementation: bit-identical depths and `traversed_edges` across seeded
 //! suite graphs, thread counts {1, 3, 8}, every status-word width, and
 //! duplicate sources within a group — plus the no-per-level-spawn
-//! acceptance check.
+//! acceptance check and the `traversed_edges` oracle wall.
 
 use ibfs_repro::graph::generators::{chung_lu, powerlaw_weights, rmat, uniform_random, RmatParams};
+use ibfs_repro::graph::reorder::ReorderKind;
 use ibfs_repro::graph::validate::reference_bfs;
 use ibfs_repro::graph::{Csr, VertexId};
-use ibfs_repro::ibfs::cpu::{CpuIbfs, CpuMsBfs};
+use ibfs_repro::ibfs::cpu::{CpuEngine, CpuIbfs, CpuMsBfs};
 use ibfs_repro::ibfs::cpu_baseline::{run_cpu_baseline, BASELINE_GROUP};
 use ibfs_repro::ibfs::direction::DirectionPolicy;
+use ibfs_repro::ibfs::engine::traversed_edges_for;
 use ibfs_repro::ibfs::word::WordWidth;
 
 const THREAD_COUNTS: [usize; 3] = [1, 3, 8];
@@ -137,7 +139,8 @@ fn wide_groups_beyond_baseline_capacity_match_reference() {
 }
 
 /// The acceptance criterion: a multi-level, multi-group run creates no OS
-/// threads beyond the ones the services spawned at construction.
+/// threads beyond the ones the services spawned at construction. Counted
+/// per pool, so pools that sibling tests build concurrently do not count.
 #[test]
 fn no_per_level_thread_spawns() {
     let g = rmat(9, 8, RmatParams::graph500(), 42);
@@ -145,7 +148,8 @@ fn no_per_level_thread_spawns() {
     let sources: Vec<VertexId> = (0..96).collect();
     let mut ibfs = CpuIbfs { threads: 4, ..Default::default() }.service(&g, &r);
     let mut msbfs = CpuMsBfs { threads: 4, ..Default::default() }.service(&g, &r);
-    let after_construction = ibfs_repro::ibfs::pool::total_threads_spawned();
+    assert_eq!(ibfs.pool().threads_spawned(), 3);
+    assert_eq!(msbfs.pool().threads_spawned(), 3);
     let mut levels = 0usize;
     let mut groups = 0usize;
     for group in sources.chunks(24) {
@@ -155,9 +159,58 @@ fn no_per_level_thread_spawns() {
     }
     assert!(groups >= 8, "want a multi-group run, got {groups}");
     assert!(levels > groups, "want multi-level traversals, got {levels} levels");
-    assert_eq!(
-        ibfs_repro::ibfs::pool::total_threads_spawned(),
-        after_construction,
-        "worker threads must be created once per engine lifetime, not per level/group"
-    );
+    for svc in [&ibfs, &msbfs] {
+        assert_eq!(
+            svc.pool().threads_spawned(),
+            3,
+            "worker threads must be created once per engine lifetime, not per level/group"
+        );
+    }
+}
+
+/// `traversed_edges` is the sum the level loop keeps while identifying,
+/// not a recount; it must equal the depth-table oracle for every engine,
+/// width and ordering, on duplicate and single-source groups, and under a
+/// level cap that stops traversals early.
+#[test]
+fn traversed_edges_match_the_depth_table_oracle() {
+    let graphs = [
+        ("rmat", rmat(8, 8, RmatParams::graph500(), 42)),
+        ("chung-lu", chung_lu(&powerlaw_weights(300, 7.0, 2.1), 29)),
+    ];
+    for (name, g) in &graphs {
+        let r = g.reverse();
+        let n = g.num_vertices() as VertexId;
+        let source_sets: [Vec<VertexId>; 3] = [
+            (0..n.min(32)).collect(),
+            vec![0, n / 2, 0, n - 1, n / 2],
+            vec![n / 3],
+        ];
+        for engine in CpuEngine::all() {
+            for width in WordWidth::all() {
+                for reorder in ReorderKind::all() {
+                    for max_levels in [0, 2] {
+                        let mut svc = CpuIbfs {
+                            threads: 2,
+                            width,
+                            engine,
+                            reorder,
+                            max_levels,
+                            ..Default::default()
+                        }
+                        .service(g, &r);
+                        for sources in &source_sets {
+                            let run = svc.run_group(sources).unwrap();
+                            assert_eq!(
+                                run.traversed_edges,
+                                traversed_edges_for(g, &run.depths, run.num_instances),
+                                "{name}: {engine} {width} {reorder} max_levels={max_levels} \
+                                 sources={sources:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
